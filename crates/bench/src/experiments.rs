@@ -7,7 +7,6 @@ use litmus::{anomaly_matrix, render_matrix, Mode};
 use std::fmt::Write as _;
 use std::time::Instant;
 use stm_core::config::BarrierMode;
-use tmir::jitopt::{optimize, JitOptions};
 use tmir::sites::BarrierTable;
 use tmir_analysis::nait::analyze_and_remove;
 use workloads::jbb::JbbConfig;
@@ -115,8 +114,7 @@ pub fn fig13() -> String {
 }
 
 /// Figure 14: barrier aggregation on the paper's example, as a bytecode
-/// peephole pass executed on the VM (the AST-level JIT pass is kept as a
-/// cross-check of the static region count).
+/// peephole pass executed on the VM.
 ///
 /// # Panics
 /// Panics if the bytecode counts deviate from the figure: one static
@@ -130,17 +128,8 @@ pub fn fig14() -> String {
     let table = BarrierTable::strong(&checked.program);
     let before = table.counts();
 
-    // Reference: the AST-level JIT pass finds the same single region.
-    let mut ast = checked.clone();
-    let mut ast_table = table.clone();
-    let ast_report = optimize(
-        &mut ast,
-        &mut ast_table,
-        JitOptions { immutable: false, escape: false, aggregate: true },
-    );
-
-    // The measured path: compile to bytecode, fuse with the peephole pass,
-    // execute on the VM, and read the dynamic counters.
+    // Compile to bytecode, fuse with the peephole pass, execute on the VM,
+    // and read the dynamic counters.
     let mut cp = tmir::compile(&checked, &table);
     let report = tmir::bytecode::optimize(
         &mut cp,
@@ -161,9 +150,8 @@ pub fn fig14() -> String {
     .unwrap();
     writeln!(
         out,
-        "bytecode pass:   {} region(s) covering {} access opcodes -> 1 acquire/release\n\
-         AST JIT pass:    {} region(s) / {} sites (cross-check)",
-        report.regions, report.aggregated_sites, ast_report.regions, ast_report.aggregated_sites
+        "bytecode pass:   {} region(s) covering {} access opcodes -> 1 acquire/release",
+        report.regions, report.aggregated_sites
     )
     .unwrap();
     writeln!(

@@ -325,13 +325,19 @@ impl Machine {
     /// Opens the start gate: virtual threads begin running user code.
     /// Spawn the whole fleet first, then call this once, for a fully
     /// deterministic simulation; [`VthreadHandle::join`] from outside the
-    /// simulation starts the machine automatically. Idempotent.
+    /// simulation starts the machine automatically. Idempotent: a repeated
+    /// call must not bump the epoch, or a join from outside would force a
+    /// flush at whatever point in real time it lands, and the schedule
+    /// would differ from run to run.
     pub fn start(&self) {
         {
             let mut st = self.state.lock();
+            if st.started {
+                return;
+            }
             st.started = true;
+            self.epoch.fetch_add(1, Ordering::Relaxed);
         }
-        self.epoch.fetch_add(1, Ordering::Relaxed);
         self.cv.notify_all();
     }
 

@@ -114,34 +114,60 @@ fn contended_transactions_do_not_scale() {
     );
 }
 
+/// Everything a simulated run reports: makespan, per-processor busy
+/// cycles and the heap's counters.
+type RunOutcome = (u64, Vec<u64>, StatsSnapshot);
+
+/// `threads` vthreads on as many processors each commit `txns`
+/// transactions over a shared pool of `objects` counters; transaction `k`
+/// of thread `t` increments `writes` of them, starting at `(k + t) % objects`
+/// with stride 3 so that rivals' write sets overlap.
+fn contended_writes(threads: usize, objects: usize, writes: usize, txns: usize) -> RunOutcome {
+    let (heap, s) = counter_heap();
+    let objs: Arc<Vec<ObjRef>> = Arc::new((0..objects).map(|_| heap.alloc_public(s)).collect());
+    let machine = Machine::new(SimConfig::with_processors(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|t| {
+            let heap = Arc::clone(&heap);
+            let objs = Arc::clone(&objs);
+            machine.spawn(move || {
+                for k in 0..txns {
+                    atomic(&heap, |tx| {
+                        for w in 0..writes {
+                            let o = objs[(k + t + 3 * w) % objects];
+                            let v = tx.read(o, 0)?;
+                            tx.write(o, 0, v + 1)?;
+                        }
+                        Ok(())
+                    });
+                }
+            })
+        })
+        .collect();
+    machine.start();
+    for h in handles {
+        h.join();
+    }
+    let total: u64 = objs.iter().map(|&o| heap.read_raw(o, 0)).sum();
+    assert_eq!(total, (threads * txns * writes) as u64, "every increment committed");
+    let report = machine.report();
+    (report.makespan, report.proc_busy, heap.stats().snapshot())
+}
+
 #[test]
 fn simulation_is_deterministic_with_stm() {
-    let run = || {
-        let (heap, s) = counter_heap();
-        let c = heap.alloc_public(s);
-        let machine = Machine::new(SimConfig::with_processors(4));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let heap = Arc::clone(&heap);
-                machine.spawn(move || {
-                    for _ in 0..50 {
-                        atomic(&heap, |tx| {
-                            let v = tx.read(c, 0)?;
-                            tx.write(c, 0, v + 1)
-                        });
-                    }
-                })
-            })
-            .collect();
-        machine.start();
-        for h in handles {
-            h.join();
+    // Inputs are (threads, objects, writes per transaction, transactions
+    // per thread): one hot counter; and transactions that each own three
+    // records, so the release at commit drains a multi-entry owned set
+    // while a rival waits on one of them.
+    for input in [(4, 1, 1, 50), (2, 4, 3, 100)] {
+        let (threads, objects, writes, txns) = input;
+        let first = contended_writes(threads, objects, writes, txns);
+        for _ in 0..4 {
+            let again = contended_writes(threads, objects, writes, txns);
+            assert_eq!(again, first, "{input:?}: same program, same simulated outcome");
         }
-        machine.report().makespan
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "same program, same virtual makespan");
+    }
 }
 
 #[test]

@@ -41,6 +41,7 @@ use crate::txnrec::{OwnerToken, RecWord};
 use crate::watchdog::OwnerDesc;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::mem::ManuallyDrop;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -101,12 +102,18 @@ pub(crate) enum Acquired {
 /// transiently held by an unrelated transaction sharing the stripe.
 const PUBLISH_ACQUIRE_SPINS: u32 = 64;
 
+/// Guard slots owned by one attempt. The hasher has a fixed key, so the
+/// `drain` at release visits slots in the same order on every run: release
+/// order reaches virtual time under the simulator, and a per-process random
+/// key would make simulated runs differ between invocations.
+type OwnedMap = HashMap<usize, (ObjRef, RecWord), BuildHasherDefault<DefaultHasher>>;
+
 /// The pooled container set of one transaction attempt. Only capacities
 /// survive in the pool — every container is empty between attempts.
 #[derive(Default)]
 struct Scratch {
     read_set: Vec<(ObjRef, RecWord)>,
-    owned: HashMap<usize, (ObjRef, RecWord)>,
+    owned: OwnedMap,
     on_abort: Vec<Box<dyn FnOnce()>>,
     on_commit: Vec<Box<dyn FnOnce()>>,
     spans: Vec<SpanEntry>,
@@ -174,7 +181,7 @@ pub(crate) struct TxnCore<'h> {
     read_set: Vec<(ObjRef, RecWord)>,
     /// Guard slots we own exclusively: slot key → (representative object,
     /// shared word to restore-and-bump on release).
-    owned: HashMap<usize, (ObjRef, RecWord)>,
+    owned: OwnedMap,
     on_abort: Vec<Box<dyn FnOnce() + 'h>>,
     on_commit: Vec<Box<dyn FnOnce() + 'h>>,
     /// Index of this attempt's quiescence slot in the heap's registry.

@@ -401,9 +401,6 @@ impl Gen<'_> {
                         .add_edge(v, Var::Ret { func: func.to_string(), ctx });
                 }
             }
-            Stmt::AggregatedRegion { body, .. } => {
-                self.gen_block(func, body, ctx, in_atomic);
-            }
             Stmt::Retry | Stmt::Return(None) => {}
         }
     }

@@ -5,8 +5,8 @@
 //! typed, imperative object language with classes, statics, arrays,
 //! first-class threads, monitors, and `atomic` blocks. Every heap access in
 //! a program carries a stable [`SiteId`]; the compiler pipeline
-//! (`crate::jitopt`, `tmir_analysis`) decides per site whether the
-//! interpreter executes an isolation barrier — exactly the role the paper's
+//! (`crate::bytecode`'s passes, `tmir_analysis`) decides per site whether
+//! an access executes an isolation barrier — exactly the role the paper's
 //! JIT plays (§3, §5, §6).
 
 use std::fmt;
@@ -293,15 +293,6 @@ pub enum Stmt {
     Print(Expr),
     /// `assert e;` — traps if `e` is zero.
     Assert(Expr),
-    /// A barrier-aggregated straight-line region produced by the JIT
-    /// optimizer (paper Figure 14); never written in source. All heap
-    /// accesses in `body` target the object held in local `base`.
-    AggregatedRegion {
-        /// Local holding the single object the region touches.
-        base: String,
-        /// The straight-line statements (Assign/Let/Expr only).
-        body: Vec<Stmt>,
-    },
 }
 
 /// A function declaration.
@@ -362,7 +353,6 @@ pub fn walk_stmts<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
             Stmt::While { body, .. } => walk_stmts(body, f),
             Stmt::Atomic { body } => walk_stmts(body, f),
             Stmt::Lock { body, .. } => walk_stmts(body, f),
-            Stmt::AggregatedRegion { body, .. } => walk_stmts(body, f),
             _ => {}
         }
     }

@@ -18,8 +18,9 @@
 //! tree-walking interpreter, but over a representation the passes can
 //! rewrite in O(instructions).
 
-use crate::ast::{BinOp, Program, SiteId, UnOp};
-use crate::jitopt::non_escaping_locals;
+use crate::ast::{
+    walk_exprs, walk_stmts, BinOp, Expr, FuncDecl, Place, Program, SiteId, Stmt, UnOp,
+};
 use crate::sites::classify;
 use std::collections::{HashMap, HashSet};
 
@@ -268,8 +269,7 @@ impl CompiledProgram {
     }
 }
 
-/// Which bytecode passes to run (the bytecode analogue of
-/// [`crate::jitopt::JitOptions`]).
+/// Which bytecode passes to run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PassOptions {
     /// Rewrite barriers on `final` fields to elided form.
@@ -290,11 +290,6 @@ impl PassOptions {
     /// Elision only, no aggregation.
     pub fn elim_only() -> Self {
         PassOptions { immutable: true, escape: true, aggregate: false }
-    }
-
-    /// No passes.
-    pub fn none() -> Self {
-        PassOptions { immutable: false, escape: false, aggregate: false }
     }
 }
 
@@ -353,30 +348,30 @@ pub fn elide_sites(cp: &mut CompiledProgram, pred: impl Fn(SiteId) -> bool) -> u
                 | Insn::PutIndex { site, barrier, .. } => (*site, barrier),
                 _ => continue,
             };
-            if !pred(site) {
-                continue;
-            }
-            match *barrier {
-                BarrierOp::Read => {
-                    *barrier = BarrierOp::ElidedRead;
-                    n += 1;
-                }
-                BarrierOp::Write => {
-                    *barrier = BarrierOp::ElidedWrite;
-                    n += 1;
-                }
-                _ => {}
+            if pred(site) {
+                n += elide(barrier);
             }
         }
     }
     n
 }
 
+/// Rewrites a still-barriered opcode to its elided form; returns 1 if it
+/// did, 0 otherwise.
+fn elide(barrier: &mut BarrierOp) -> usize {
+    *barrier = match *barrier {
+        BarrierOp::Read => BarrierOp::ElidedRead,
+        BarrierOp::Write => BarrierOp::ElidedWrite,
+        _ => return 0,
+    };
+    1
+}
+
 /// Escape-analysis elision: barriers on accesses anchored to a provably
-/// non-escaping local are rewritten to elided form. Reuses the AST-level
-/// analysis ([`non_escaping_locals`]) — the bytecode keeps the anchor slot
-/// on every access whose base is a local, so applying the result is a
-/// linear rewrite.
+/// non-escaping local are rewritten to elided form. The analysis
+/// ([`non_escaping_locals`]) runs over the source function; the bytecode
+/// keeps the anchor slot on every access whose base is a local, so applying
+/// the result is a linear rewrite.
 fn elide_escaping(cp: &mut CompiledProgram) -> usize {
     let mut n = 0;
     for (decl, func) in cp.program.funcs.iter().zip(&mut cp.funcs) {
@@ -399,24 +394,122 @@ fn elide_escaping(cp: &mut CompiledProgram) -> usize {
                 | Insn::PutIndex { barrier, base, .. } => (barrier, *base),
                 _ => continue,
             };
-            let anchored = matches!(base, Some(s) if slots.contains(&s));
-            if !anchored {
-                continue;
-            }
-            match *barrier {
-                BarrierOp::Read => {
-                    *barrier = BarrierOp::ElidedRead;
-                    n += 1;
-                }
-                BarrierOp::Write => {
-                    *barrier = BarrierOp::ElidedWrite;
-                    n += 1;
-                }
-                _ => {}
+            if matches!(base, Some(s) if slots.contains(&s)) {
+                n += elide(barrier);
             }
         }
     }
     n
+}
+
+/// Computes the set of locals in `func` proven not to escape.
+///
+/// A local is a *candidate* if its every assignment is a fresh allocation.
+/// Candidates escape if their value is stored to a static, stored into a
+/// field/element of anything that is not itself a non-escaping candidate,
+/// copied to another local, passed to a call or spawn, returned, or used as
+/// a monitor. Containment edges (`base.f = x`) propagate escape from
+/// container to containee to a fixpoint.
+pub(crate) fn non_escaping_locals(func: &FuncDecl) -> HashSet<String> {
+    let mut candidates: HashSet<String> = HashSet::new();
+    let mut disqualified: HashSet<String> =
+        func.params.iter().map(|(n, _)| n.clone()).collect();
+    walk_stmts(&func.body, &mut |stmt| {
+        let (name, value) = match stmt {
+            Stmt::Let { name, init, .. } => (name, init),
+            Stmt::Assign { place: Place::Local(name), value } => (name, value),
+            _ => return,
+        };
+        if matches!(value, Expr::New { .. } | Expr::NewArray { .. }) {
+            if !disqualified.contains(name) {
+                candidates.insert(name.clone());
+            }
+        } else {
+            disqualified.insert(name.clone());
+            candidates.remove(name);
+        }
+    });
+
+    let mut escaped: HashSet<String> = HashSet::new();
+    let mut contains: Vec<(String, String)> = Vec::new(); // (container, containee)
+    let local_name = |e: &Expr| match e {
+        Expr::Local(n) => Some(n.clone()),
+        _ => None,
+    };
+    walk_stmts(&func.body, &mut |stmt| {
+        walk_exprs(stmt, &mut |e| {
+            if let Expr::Call { args, .. } | Expr::Spawn { args, .. } = e {
+                for a in args {
+                    if let Some(n) = local_name(a) {
+                        escaped.insert(n);
+                    }
+                }
+            }
+        });
+        match stmt {
+            Stmt::Return(Some(e)) => {
+                if let Some(n) = local_name(e) {
+                    escaped.insert(n);
+                }
+            }
+            Stmt::Lock { obj, .. } => {
+                if let Some(n) = local_name(obj) {
+                    escaped.insert(n);
+                }
+            }
+            Stmt::Assign { place, value } => match place {
+                Place::Static { .. } => {
+                    if let Some(n) = local_name(value) {
+                        escaped.insert(n);
+                    }
+                }
+                Place::Field { base, .. } | Place::Index { base, .. } => match local_name(base) {
+                    Some(b) => {
+                        if let Some(v) = local_name(value) {
+                            contains.push((b, v));
+                        }
+                    }
+                    None => {
+                        if let Some(v) = local_name(value) {
+                            escaped.insert(v);
+                        }
+                    }
+                },
+                Place::Local(target) => {
+                    if let Some(v) = local_name(value) {
+                        if v != *target {
+                            escaped.insert(v);
+                        }
+                    }
+                }
+            },
+            Stmt::Let { name, init, .. } => {
+                if let Some(v) = local_name(init) {
+                    if v != *name {
+                        escaped.insert(v);
+                    }
+                }
+            }
+            _ => {}
+        }
+    });
+
+    loop {
+        let mut changed = false;
+        for (container, containee) in &contains {
+            let container_escapes =
+                escaped.contains(container) || !candidates.contains(container);
+            if container_escapes && escaped.insert(containee.clone()) {
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    candidates.retain(|c| !escaped.contains(c));
+    candidates
 }
 
 /// A planned aggregation region over the *old* instruction indices:
@@ -438,10 +531,10 @@ struct Region {
 /// instructions *and jump-target instructions* break runs (so control never
 /// enters a region other than through its `AggBegin`), as do calls, region
 /// markers, allocation, statics/array accesses, unbarriered or already
-/// elided field ops, and — unlike the AST pass — stores to the anchor slot
-/// (re-pointing the base mid-region would make later accesses touch a
-/// foreign object). Instructions lexically inside `atomic` are skipped:
-/// transactional code uses its own protocol.
+/// elided field ops, and stores to the anchor slot (re-pointing the base
+/// mid-region would make later accesses touch a foreign object).
+/// Instructions lexically inside `atomic` are skipped: transactional code
+/// uses its own protocol.
 fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
     let code = &func.code;
     let mut targets = HashSet::new();
@@ -574,4 +667,77 @@ fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
     }
     func.code = new;
     (sites, regions.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse;
+    use crate::types::{check, Checked};
+
+    fn checked(src: &str) -> Checked {
+        check(parse(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn escape_analysis_finds_local_objects() {
+        let f = checked(
+            "class C { x: int, n: ref C }\n\
+             static g: ref C;\n\
+             fn main() {\n\
+               let local: ref C = new C;\n\
+               local.x = 1;\n\
+               let escapes: ref C = new C;\n\
+               g = escapes;\n\
+               escapes.x = 2;\n\
+             }",
+        );
+        let set = non_escaping_locals(f.program.func("main").unwrap());
+        assert!(set.contains("local"));
+        assert!(!set.contains("escapes"));
+    }
+
+    #[test]
+    fn containment_propagates_escape() {
+        let f = checked(
+            "class C { x: int, n: ref C }\n\
+             static g: ref C;\n\
+             fn main() {\n\
+               let inner: ref C = new C;\n\
+               let outer: ref C = new C;\n\
+               outer.n = inner;\n\
+               g = outer;\n\
+             }",
+        );
+        let set = non_escaping_locals(f.program.func("main").unwrap());
+        assert!(!set.contains("outer"));
+        assert!(!set.contains("inner"), "reachable through escaped container");
+    }
+
+    #[test]
+    fn containment_in_local_container_is_fine() {
+        let f = checked(
+            "class C { x: int, n: ref C }\n\
+             fn main() {\n\
+               let inner: ref C = new C;\n\
+               let outer: ref C = new C;\n\
+               outer.n = inner;\n\
+               outer.x = inner.x;\n\
+             }",
+        );
+        let set = non_escaping_locals(f.program.func("main").unwrap());
+        assert!(set.contains("outer"));
+        assert!(set.contains("inner"));
+    }
+
+    #[test]
+    fn call_args_escape() {
+        let f = checked(
+            "class C { x: int }\n\
+             fn use_it(c: ref C) { c.x = 1; }\n\
+             fn main() { let c: ref C = new C; use_it(c); }",
+        );
+        let set = non_escaping_locals(f.program.func("main").unwrap());
+        assert!(!set.contains("c"));
+    }
 }

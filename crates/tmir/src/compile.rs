@@ -293,12 +293,6 @@ impl FnCompiler<'_> {
                 self.expr(e);
                 self.emit(Insn::Assert);
             }
-            Stmt::AggregatedRegion { .. } => {
-                // AST-level aggregation and bytecode compilation are
-                // alternative backends over the same checked program; run
-                // the bytecode aggregation pass instead.
-                panic!("AggregatedRegion cannot be compiled; use bytecode::optimize")
-            }
         }
     }
 

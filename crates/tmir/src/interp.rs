@@ -3,10 +3,12 @@
 //! A tree-walking interpreter whose every heap access is mediated by
 //! `stm-core`: inside `atomic` blocks through the transactional read/write
 //! protocol, outside them through whatever the [`BarrierTable`] dictates —
-//! raw access (weak atomicity), isolation barriers (strong atomicity), or
-//! an aggregated barrier region (paper Figure 14). This mirrors the role of
-//! the paper's JIT-compiled code: the *same* program text runs weakly or
-//! strongly atomic purely by swapping the annotation table.
+//! raw access (weak atomicity) or isolation barriers (strong atomicity).
+//! This mirrors the role of the paper's JIT-compiled code: the *same*
+//! program text runs weakly or strongly atomic purely by swapping the
+//! annotation table. It runs no §6 optimizations — those are opcode
+//! rewrites in [`crate::bytecode`] — and serves as the unoptimized
+//! differential reference for the bytecode VM.
 //!
 //! Transactional execution details:
 //! * `atomic` blocks re-execute on conflict with locals restored from a
@@ -371,21 +373,6 @@ impl Interp {
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::AggregatedRegion { base, body } => {
-                if tx.is_some() {
-                    // Aggregation is a non-transactional optimization; inside
-                    // a transaction the body executes normally.
-                    return self.exec_block(body, meta, locals, tx);
-                }
-                let r = ObjRef::from_word(locals[meta.slot_of[base]])
-                    .ok_or_else(|| VmErr::trap("null object in aggregated barrier"))?;
-                let heap = Arc::clone(&self.vm.heap);
-                let mut out: Result<Flow, VmErr> = Ok(Flow::Normal);
-                stm_core::barrier::aggregate(&heap, r, |owned| {
-                    out = self.exec_agg_block(body, meta, locals, r, owned);
-                });
-                out
-            }
         }
     }
 
@@ -664,93 +651,6 @@ impl Interp {
                     None => Err(VmErr::trap("thread joined twice")),
                 }
             }
-        }
-    }
-
-    // ----- aggregated-region execution (paper Figure 14) -----
-
-    fn exec_agg_block(
-        &mut self,
-        body: &[Stmt],
-        meta: &FuncMeta,
-        locals: &mut Vec<Word>,
-        r: ObjRef,
-        owned: &mut stm_core::barrier::OwnedObj<'_>,
-    ) -> Result<Flow, VmErr> {
-        for stmt in body {
-            match stmt {
-                Stmt::Let { name, init, .. } => {
-                    let v = self.eval_agg(init, meta, locals, r, owned)?;
-                    locals[meta.slot_of[name]] = v;
-                }
-                Stmt::Assign { place, value } => {
-                    let v = self.eval_agg(value, meta, locals, r, owned)?;
-                    match place {
-                        Place::Local(name) => locals[meta.slot_of[name]] = v,
-                        Place::Field { base, field, .. } => {
-                            let b = self.eval_agg(base, meta, locals, r, owned)?;
-                            if ObjRef::from_word(b) != Some(r) {
-                                return Err(VmErr::trap(
-                                    "aggregated region touched a foreign object",
-                                ));
-                            }
-                            let idx = self.vm.field_index(r, field)?;
-                            owned.set(idx, v);
-                        }
-                        _ => {
-                            return Err(VmErr::trap(
-                                "unsupported store in aggregated region",
-                            ))
-                        }
-                    }
-                }
-                Stmt::Expr(e) => {
-                    self.eval_agg(e, meta, locals, r, owned)?;
-                }
-                _ => return Err(VmErr::trap("unsupported statement in aggregated region")),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn eval_agg(
-        &mut self,
-        e: &Expr,
-        meta: &FuncMeta,
-        locals: &mut Vec<Word>,
-        r: ObjRef,
-        owned: &mut stm_core::barrier::OwnedObj<'_>,
-    ) -> Result<Word, VmErr> {
-        match e {
-            Expr::Int(n) => Ok(*n as Word),
-            Expr::Null => Ok(0),
-            Expr::Local(name) => Ok(locals[meta.slot_of[name]]),
-            Expr::Field { base, field, .. } => {
-                let b = self.eval_agg(base, meta, locals, r, owned)?;
-                if ObjRef::from_word(b) != Some(r) {
-                    return Err(VmErr::trap("aggregated region touched a foreign object"));
-                }
-                let idx = self.vm.field_index(r, field)?;
-                Ok(owned.get(idx))
-            }
-            Expr::Bin { op, lhs, rhs } => {
-                let l = self.eval_agg(lhs, meta, locals, r, owned)?;
-                match op {
-                    BinOp::And if l == 0 => return Ok(0),
-                    BinOp::Or if l != 0 => return Ok(1),
-                    _ => {}
-                }
-                let rv = self.eval_agg(rhs, meta, locals, r, owned)?;
-                bin_op(*op, l, rv).map_err(VmErr::Trap)
-            }
-            Expr::Un { op, expr } => {
-                let v = self.eval_agg(expr, meta, locals, r, owned)? as i64;
-                Ok(match op {
-                    UnOp::Neg => (-v) as Word,
-                    UnOp::Not => (v == 0) as Word,
-                })
-            }
-            _ => Err(VmErr::trap("unsupported expression in aggregated region")),
         }
     }
 }

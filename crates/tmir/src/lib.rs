@@ -5,10 +5,13 @@
 //! language with classes, statics, arrays, threads, monitors, and `atomic`
 //! blocks, whose every heap access the runtime mediates. The compiler
 //! pipeline mirrors the paper's JIT: parse → type-check → annotate each
-//! access site with a barrier decision → optimize (final-field elision,
-//! intraprocedural escape analysis, barrier aggregation; `jitopt`) →
-//! interpret. Whole-program analyses (NAIT, thread-locality) live in the
-//! companion crate `tmir-analysis` and edit the same [`sites::BarrierTable`].
+//! access site with a barrier decision → compile to bytecode → optimize
+//! (final-field elision, intraprocedural escape analysis, barrier
+//! aggregation; [`bytecode::optimize`]) → run on the [`vm::BytecodeVm`].
+//! Whole-program analyses (NAIT, thread-locality) live in the companion
+//! crate `tmir-analysis`; their results rewrite the same barrier opcodes by
+//! site id. The tree-walking [`interp`] runs a [`sites::BarrierTable`]
+//! directly and stays unoptimized, as the differential reference.
 //!
 //! ```
 //! use tmir::interp::{run_source, VmConfig};
@@ -37,7 +40,6 @@ pub mod ast;
 pub mod bytecode;
 pub mod compile;
 pub mod interp;
-pub mod jitopt;
 pub mod lex;
 pub mod parse;
 pub mod pretty;

@@ -1,15 +1,11 @@
 //! Pretty-printer for TMIR: renders a [`Program`] back to parseable source.
 //!
-//! Useful for debugging compiler passes (print the program after
-//! aggregation rewrites) and for the parse→print→parse round-trip property
-//! tests. Printing normalizes whitespace and fully parenthesizes
-//! expressions, so `parse(print(p))` is structurally equal to `p` up to
-//! site-id renumbering (ids are assigned in traversal order, which printing
-//! preserves).
-//!
-//! [`Stmt::AggregatedRegion`] has no surface syntax; it prints as a
-//! `// aggregated(base)` comment followed by its body, which parses back to
-//! the un-aggregated form.
+//! Useful for debugging front-end rewrites and for the parse→print→parse
+//! round-trip property tests. Printing normalizes whitespace and fully
+//! parenthesizes expressions, so `parse(print(p))` is structurally equal to
+//! `p` up to site-id renumbering (ids are assigned in traversal order, which
+//! printing preserves). Every [`Stmt`] has surface syntax: the §6 barrier
+//! optimizations rewrite bytecode ([`crate::bytecode`]), never the AST.
 
 use crate::ast::*;
 use std::fmt::Write;
@@ -127,10 +123,6 @@ fn stmt(s: &Stmt, level: usize, out: &mut String) {
         Stmt::Return(Some(e)) => writeln!(out, "return {};", expr(e)).unwrap(),
         Stmt::Print(e) => writeln!(out, "print {};", expr(e)).unwrap(),
         Stmt::Assert(e) => writeln!(out, "assert {};", expr(e)).unwrap(),
-        Stmt::AggregatedRegion { base, body } => {
-            writeln!(out, "// aggregated({base})").unwrap();
-            block(body, level, out);
-        }
     }
 }
 
@@ -229,22 +221,6 @@ mod tests {
         let printed = program(&p);
         assert!(printed.contains("new_array<int>(4)"));
         assert!(printed.contains("array ref C"));
-        parse(&printed).expect("reparses");
-    }
-
-    #[test]
-    fn aggregated_region_prints_as_body() {
-        use crate::jitopt::{optimize, JitOptions};
-        use crate::sites::BarrierTable;
-        let src = "class A { x: int, y: int }\n\
-                   fn work(a: ref A) { a.x = 0; a.y = a.y + 1; }\n\
-                   fn main() { let a: ref A = new A; work(a); }";
-        let mut checked = crate::types::check(parse(src).unwrap()).unwrap();
-        let mut table = BarrierTable::strong(&checked.program);
-        optimize(&mut checked, &mut table, JitOptions { immutable: false, escape: false, aggregate: true });
-        let printed = program(&checked.program);
-        assert!(printed.contains("// aggregated(a)"), "{printed}");
-        // And it parses back (to the unaggregated form).
         parse(&printed).expect("reparses");
     }
 }

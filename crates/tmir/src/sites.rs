@@ -3,9 +3,11 @@
 //! The paper's JIT represents non-transactional barriers as annotations on
 //! memory accesses (§6). [`BarrierTable`] is that annotation table: for each
 //! [`SiteId`] it records what the interpreter must do when the site executes
-//! *outside* a transaction. Compiler passes (`crate::jitopt`,
-//! `tmir_analysis::nait`, `tmir_analysis::thread_local`) start from
-//! [`BarrierTable::strong`] and remove barriers.
+//! *outside* a transaction. The whole-program passes
+//! (`tmir_analysis::nait`, `tmir_analysis::thread_local`) start from
+//! [`BarrierTable::strong`] and remove barriers; [`crate::compile`] bakes
+//! the table into barrier opcodes, which the §6 passes in
+//! [`crate::bytecode`] rewrite.
 
 use crate::ast::*;
 use std::collections::HashMap;
@@ -152,9 +154,6 @@ fn collect_stmt(
         Stmt::While { body, .. } => collect_block(program, func, body, in_atomic, infos),
         Stmt::Atomic { body } => collect_block(program, func, body, true, infos),
         Stmt::Lock { body, .. } => collect_block(program, func, body, in_atomic, infos),
-        Stmt::AggregatedRegion { body, .. } => {
-            collect_block(program, func, body, in_atomic, infos)
-        }
         _ => {}
     }
 }

@@ -269,9 +269,6 @@ impl FnCx<'_> {
                 self.expect_int(e)?;
                 Ok(())
             }
-            Stmt::AggregatedRegion { .. } => {
-                self.err("AggregatedRegion cannot appear in source programs")
-            }
         }
     }
 

@@ -48,8 +48,8 @@ proptest! {
         prop_assert_eq!(result.output, vec![expected]);
     }
 
-    /// Weak, strong, and NAIT-optimized executions of random straight-line
-    /// field programs agree.
+    /// Weak and strong interpreter runs and the fully optimized bytecode run
+    /// (§6 passes + NAIT) of random straight-line field programs agree.
     #[test]
     fn random_field_programs_agree(ops in prop::collection::vec((0usize..3, 0usize..3, 1i64..100), 1..25)) {
         // Build: a 3-field object, a sequence of field updates, print all.
@@ -73,13 +73,12 @@ proptest! {
             .expect("strong runs");
         prop_assert_eq!(&weak.output, &strong.output);
 
-        // Full pipeline: JIT + NAIT.
-        let mut optimized = checked.clone();
-        let mut table = BarrierTable::strong(&checked.program);
-        tmir::jitopt::optimize(&mut optimized, &mut table, tmir::jitopt::JitOptions::all());
-        let (_, removal) = tmir_analysis::nait::analyze_and_remove(&optimized.program);
-        removal.apply_nait(&mut table);
-        let opt = tmir::interp::Vm::new(optimized, VmConfig { table, ..Default::default() })
+        // Full pipeline: bytecode passes + NAIT, on the bytecode VM.
+        let mut cp = tmir::compile(&checked, &BarrierTable::strong(&checked.program));
+        tmir::bytecode::optimize(&mut cp, tmir::PassOptions::all());
+        let (_, removal) = tmir_analysis::nait::analyze_and_remove(&checked.program);
+        removal.apply_nait_bytecode(&mut cp);
+        let opt = tmir::BytecodeVm::new(cp, tmir::BcVmConfig::default())
             .run()
             .expect("optimized runs");
         prop_assert_eq!(&weak.output, &opt.output);

@@ -5,17 +5,18 @@
 //! ```
 //!
 //! With no file argument, runs an embedded demo (the Tsp rendition used for
-//! the Figure 13 static counts). The pipeline argument picks how much of
-//! the paper's machinery is applied:
+//! the Figure 13 static counts). The program is compiled to bytecode and
+//! executed on the bytecode VM; the pipeline argument picks how much of the
+//! paper's machinery is applied:
 //!
 //! * `weak`   — no isolation barriers (weak atomicity);
 //! * `strong` — every non-transactional access barriered;
-//! * `jit`    — strong + §6 JIT optimizations (finals, escape, aggregation);
+//! * `jit`    — strong + the §6 bytecode passes (finals, escape, aggregation);
 //! * `nait`   — jit + the §5 whole-program NAIT removal (default).
 
-use tmir::interp::{Vm, VmConfig};
-use tmir::jitopt::{optimize, JitOptions};
+use tmir::bytecode::{optimize, PassOptions};
 use tmir::sites::BarrierTable;
+use tmir::vm::{BcVmConfig, BytecodeVm};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,7 +34,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut checked = match tmir::types::check(program) {
+    let checked = match tmir::types::check(program) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
@@ -41,12 +42,15 @@ fn main() {
         }
     };
 
-    let mut table = match pipeline {
+    let table = match pipeline {
         "weak" => BarrierTable::weak(),
         _ => BarrierTable::strong(&checked.program),
     };
+    let (reads, writes) = table.counts();
+    eprintln!("barriered sites: {reads} reads, {writes} writes");
+    let mut cp = tmir::compile(&checked, &table);
     if matches!(pipeline, "jit" | "nait") {
-        let report = optimize(&mut checked, &mut table, JitOptions::all());
+        let report = optimize(&mut cp, PassOptions::all());
         eprintln!(
             "jit: {} immutable + {} escape elided, {} sites into {} aggregated regions",
             report.immutable_elided,
@@ -57,24 +61,26 @@ fn main() {
     }
     if pipeline == "nait" {
         let (_, removal) = tmir_analysis::analyze_and_remove(&checked.program);
-        let n = removal.apply_nait(&mut table);
-        eprintln!("nait: removed {n} barriers statically");
+        let n = removal.apply_nait_bytecode(&mut cp);
+        eprintln!("nait: elided {n} barrier opcodes statically");
     }
-    let (reads, writes) = table.counts();
-    eprintln!("barriers remaining at sites: {reads} reads, {writes} writes");
 
-    let vm = Vm::new(checked, VmConfig { table, ..VmConfig::default() });
+    let vm = BytecodeVm::new(cp, BcVmConfig::default());
     match vm.run() {
         Ok(result) => {
             for v in result.output {
                 println!("{v}");
             }
+            let b = vm.barrier_stats();
             eprintln!(
-                "stats: {} commits, {} aborts, {} read barriers, {} write barriers",
+                "stats: {} commits, {} aborts; barriers: {} executed, {} elided, \
+                 {} aggregated in {} regions",
                 result.stats.commits,
                 result.stats.aborts,
-                result.stats.read_barriers,
-                result.stats.write_barriers
+                b.executed,
+                b.elided,
+                b.aggregated,
+                b.regions
             );
         }
         Err(trap) => {

@@ -12,8 +12,9 @@ fn figure6_matrix_end_to_end() {
 }
 
 /// A TMIR program compiled through the full pipeline (strong barriers →
-/// JIT → NAIT) behaves identically at every stage while running strictly
-/// fewer barriers.
+/// bytecode §6 passes → NAIT) behaves on the bytecode VM exactly as the
+/// unoptimized strong interpreter does, while running strictly fewer
+/// barriers.
 #[test]
 fn pipeline_preserves_semantics_and_reduces_barriers() {
     let src = "class C { v: int, final tag: int }\n\
@@ -43,30 +44,22 @@ fn pipeline_preserves_semantics_and_reduces_barriers() {
     .run()
     .unwrap();
 
-    let mut jit_checked = checked.clone();
-    let mut jit_table = strong_table.clone();
-    lang::jitopt::optimize(&mut jit_checked, &mut jit_table, lang::jitopt::JitOptions::all());
-    let jit = lang::Vm::new(
-        jit_checked.clone(),
-        lang::VmConfig { table: jit_table.clone(), ..Default::default() },
-    )
-    .run()
-    .unwrap();
+    let mut cp = lang::compile(&checked, &strong_table);
+    lang::bytecode::optimize(&mut cp, lang::PassOptions::all());
+    let run = |cp: lang::CompiledProgram| {
+        lang::BytecodeVm::new(cp, lang::BcVmConfig::default()).run().unwrap()
+    };
+    let passes = run(cp.clone());
 
-    let (_, removal) = analysis::analyze_and_remove(&jit_checked.program);
-    removal.apply_nait(&mut jit_table);
-    let nait = lang::Vm::new(
-        jit_checked,
-        lang::VmConfig { table: jit_table, ..Default::default() },
-    )
-    .run()
-    .unwrap();
+    let (_, removal) = analysis::analyze_and_remove(&checked.program);
+    removal.apply_nait_bytecode(&mut cp);
+    let nait = run(cp);
 
-    assert_eq!(strong.output, jit.output);
+    assert_eq!(strong.output, passes.output);
     assert_eq!(strong.output, nait.output);
     let b = |s: &strong_stm::stm::stats::StatsSnapshot| s.read_barriers + s.write_barriers;
-    assert!(b(&jit.stats) < b(&strong.stats), "JIT reduced executed barriers");
-    assert!(b(&nait.stats) <= b(&jit.stats), "NAIT reduced them further");
+    assert!(b(&passes.stats) < b(&strong.stats), "passes reduced executed barriers");
+    assert!(b(&nait.stats) <= b(&passes.stats), "NAIT reduced them further");
 }
 
 /// The STM's correctness is independent of the clock source: the same
