@@ -470,6 +470,15 @@ impl<'h> TxnCore<'h> {
                     }
                     if rec.version() as u64 > self.rv {
                         self.extend_rv(rec.version() as u64)?;
+                        // The new `rv` was sampled after the double-check,
+                        // so the pair belongs to the extended snapshot only
+                        // if the record still holds `rec`. A rival commit in
+                        // between would otherwise sit inside the snapshot
+                        // unvalidated, and the `wv == rv + 1` skip would
+                        // commit a write computed from the stale value.
+                        if self.heap.guard_load(r) != rec {
+                            continue;
+                        }
                     }
                     self.heap.stats.o1_validation();
                 }

@@ -5,7 +5,7 @@
 //! [`SiteId`] it records what the interpreter must do when the site executes
 //! *outside* a transaction. The whole-program passes
 //! (`tmir_analysis::nait`, `tmir_analysis::thread_local`) start from
-//! [`BarrierTable::strong`] and remove barriers; [`crate::compile`] bakes
+//! [`BarrierTable::strong`] and remove barriers; [`crate::compile()`] bakes
 //! the table into barrier opcodes, which the §6 passes in
 //! [`crate::bytecode`] rewrite.
 
