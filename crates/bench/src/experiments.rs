@@ -2217,7 +2217,8 @@ pub fn vm(scale: u32) -> String {
 ///
 /// # Panics
 /// Panics if the barrier passes fail to strictly reduce executed barriers,
-/// or (release builds only) if the VM is not at least 2x the interpreter
+/// if they raise the sim cycles of any workload at any scale, or (release
+/// builds only) if the VM is not at least 2x the interpreter
 /// on the interpreter-bound jvm98 suite at the largest scale.
 pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
     let top = scale.max(1);
@@ -2320,6 +2321,20 @@ pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
         exec_opt < exec_vm,
         "passes must strictly reduce executed barriers: {exec_opt} !< {exec_vm}"
     );
+    for r in rows.iter().filter(|r| r.engine == "vm+passes") {
+        let plain = rows
+            .iter()
+            .find(|p| p.engine == "vm" && p.workload == r.workload && p.scale == r.scale)
+            .expect("every workload and scale has a vm row");
+        assert!(
+            r.sim_cycles <= plain.sim_cycles,
+            "passes must not cost sim cycles: {} at scale {}: vm+passes {} > vm {}",
+            r.workload,
+            r.scale,
+            r.sim_cycles,
+            plain.sim_cycles
+        );
+    }
     if !cfg!(debug_assertions) {
         assert!(
             jvm98_speedup >= 2.0,
@@ -2328,8 +2343,9 @@ pub fn vm_to(scale: u32, artifact: &std::path::Path) -> String {
     }
     writeln!(
         out,
-        "(acceptance: vm+passes executes strictly fewer barriers than vm; the\n\
-         interpreter-bound jvm98 suite runs >= 2x faster on the bytecode VM)"
+        "(acceptance: vm+passes executes strictly fewer barriers than vm and no\n\
+         more sim cycles on any workload and scale; the interpreter-bound jvm98\n\
+         suite runs >= 2x faster on the bytecode VM)"
     )
     .unwrap();
 
@@ -2412,8 +2428,9 @@ mod tests {
         let dir = std::env::temp_dir().join("bench-vm-test");
         std::fs::create_dir_all(&dir).unwrap();
         let artifact = dir.join("BENCH_vm.json");
-        // Tiny scale: vm_to asserts the strict barrier reduction internally
-        // (the >=2x speedup bar only applies to release builds).
+        // Tiny scale: vm_to asserts the strict barrier reduction and the
+        // per-row sim-cycle bound internally (the >=2x speedup bar only
+        // applies to release builds).
         let s = vm_to(2, &artifact);
         for engine in VM_ENGINES {
             assert!(s.contains(engine), "missing engine {engine}: {s}");

@@ -274,10 +274,11 @@ impl CompiledProgram {
 pub struct PassOptions {
     /// Rewrite barriers on `final` fields to elided form.
     pub immutable: bool,
-    /// Rewrite barriers on provably non-escaping locals to elided form.
+    /// Rewrite barriers on provably non-escaping locals, and on accesses to
+    /// a fresh object before it can be published, to elided form.
     pub escape: bool,
-    /// Fuse straight-line runs of barriered accesses to one object into
-    /// aggregated regions.
+    /// Fuse straight-line runs of barriered accesses to one object that
+    /// include a store into aggregated regions.
     pub aggregate: bool,
 }
 
@@ -298,7 +299,8 @@ impl PassOptions {
 pub struct PassReport {
     /// Barrier opcodes rewritten because the field is immutable.
     pub immutable_elided: usize,
-    /// Barrier opcodes rewritten by intraprocedural escape analysis.
+    /// Barrier opcodes rewritten by intraprocedural escape analysis
+    /// (non-escaping locals and pre-publication accesses).
     pub escape_elided: usize,
     /// Barrier opcodes folded into aggregated regions.
     pub aggregated_sites: usize,
@@ -368,12 +370,16 @@ fn elide(barrier: &mut BarrierOp) -> usize {
 }
 
 /// Escape-analysis elision: barriers on accesses anchored to a provably
-/// non-escaping local are rewritten to elided form. The analysis
-/// ([`non_escaping_locals`]) runs over the source function; the bytecode
-/// keeps the anchor slot on every access whose base is a local, so applying
-/// the result is a linear rewrite.
+/// non-escaping local are rewritten to elided form, and so are the accesses
+/// to a fresh object made before anything could publish it
+/// ([`pre_publication_sites`]). The analyses run over the source function;
+/// the bytecode keeps the anchor slot on every access whose base is a
+/// local, and the site on every access, so applying them is a linear
+/// rewrite.
 fn elide_escaping(cp: &mut CompiledProgram) -> usize {
-    let mut n = 0;
+    let prefixes: HashSet<SiteId> =
+        cp.program.funcs.iter().flat_map(pre_publication_sites).collect();
+    let mut n = elide_sites(cp, |s| prefixes.contains(&s));
     for (decl, func) in cp.program.funcs.iter().zip(&mut cp.funcs) {
         let names = non_escaping_locals(decl);
         if names.is_empty() {
@@ -512,6 +518,83 @@ pub(crate) fn non_escaping_locals(func: &FuncDecl) -> HashSet<String> {
     candidates
 }
 
+/// Computes the sites in `func` that access a freshly allocated object
+/// before any other thread can reach it.
+///
+/// The walk starts at each statement that binds a local `x` to `new` or
+/// `new_array` and follows the statements after it in the same statement
+/// list. A statement belongs to the prefix only if it is a `let` or an
+/// assignment that uses `x` only as a field or index base, does not rebind
+/// `x`, and holds no call, spawn or join; the accesses based on `x` in it
+/// are collected. The walk stops at the first statement that does not
+/// belong, including any `if`, `while`, `atomic` or `lock`.
+///
+/// On that prefix `x`'s value has not left the frame, so no other thread
+/// holds the object: its accesses need no isolation barrier. Whatever
+/// publishes it later is a barriered or transactional store, whose release
+/// orders the raw stores before it. This is the publication half of
+/// privatization, applied at compile time where DEA applies it at run time.
+pub(crate) fn pre_publication_sites(func: &FuncDecl) -> HashSet<SiteId> {
+    fn scan(body: &[Stmt], sites: &mut HashSet<SiteId>) {
+        for (i, stmt) in body.iter().enumerate() {
+            let fresh = match stmt {
+                Stmt::Let { name, init, .. } => Some((name, init)),
+                Stmt::Assign { place: Place::Local(name), value } => Some((name, value)),
+                _ => None,
+            };
+            if let Some((x, Expr::New { .. } | Expr::NewArray { .. })) = fresh {
+                for next in &body[i + 1..] {
+                    match prefix_accesses(next, x) {
+                        Some(found) => sites.extend(found),
+                        None => break,
+                    }
+                }
+            }
+            match stmt {
+                Stmt::If { then_body, else_body, .. } => {
+                    scan(then_body, sites);
+                    scan(else_body, sites);
+                }
+                Stmt::While { body, .. } | Stmt::Atomic { body } | Stmt::Lock { body, .. } => {
+                    scan(body, sites);
+                }
+                _ => {}
+            }
+        }
+    }
+    let mut sites = HashSet::new();
+    scan(&func.body, &mut sites);
+    sites
+}
+
+/// The sites of `stmt`'s accesses based on local `x`, or `None` if `stmt`
+/// may publish `x` or rebinds it (see [`pre_publication_sites`]).
+fn prefix_accesses(stmt: &Stmt, x: &str) -> Option<Vec<SiteId>> {
+    let is_x = |e: &Expr| matches!(e, Expr::Local(n) if n == x);
+    let mut sites = Vec::new();
+    match stmt {
+        Stmt::Let { name, .. } if name != x => {}
+        Stmt::Assign { place, .. } => match place {
+            Place::Local(name) if name == x => return None,
+            Place::Field { base, site, .. } | Place::Index { base, site, .. } if is_x(base) => {
+                sites.push(*site);
+            }
+            _ => {}
+        },
+        _ => return None,
+    }
+    let (mut uses, mut blocked) = (0, false);
+    walk_exprs(stmt, &mut |e| match e {
+        Expr::Local(n) if n == x => uses += 1,
+        Expr::Field { base, site, .. } | Expr::Index { base, site, .. } if is_x(base) => {
+            sites.push(*site);
+        }
+        Expr::Call { .. } | Expr::Spawn { .. } | Expr::Join(_) => blocked = true,
+        _ => {}
+    });
+    (!blocked && uses == sites.len()).then_some(sites)
+}
+
 /// A planned aggregation region over the *old* instruction indices:
 /// `[first, last]` inclusive, anchored on local `slot`.
 struct Region {
@@ -519,13 +602,20 @@ struct Region {
     last: usize,
     slot: u16,
     accesses: usize,
+    writes: usize,
 }
 
 /// The Figure-14 peephole: find maximal straight-line runs of ≥2 barriered
-/// field accesses anchored to one local, rewrite their opcodes to
+/// field accesses anchored to one local, at least one of them a store,
+/// rewrite their opcodes to
 /// [`BarrierOp::AggRead`]/[`BarrierOp::AggWrite`], and bracket the run with
 /// [`Insn::AggBegin`]/[`Insn::AggEnd`] so the object's record is acquired
 /// once for the whole run.
+///
+/// A region costs one exclusive record acquisition (a write barrier) plus a
+/// private-path access per member, so it pays only when it replaces at
+/// least one write barrier: a read-only run would trade cheap, non-blocking
+/// read barriers for an exclusive acquisition, and stays unfused.
 ///
 /// Basic-block safety is enforced on the instruction stream itself: jump
 /// instructions *and jump-target instructions* break runs (so control never
@@ -556,7 +646,7 @@ fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
     let mut atomic_depth = 0usize;
     let close = |run: &mut Option<Region>, regions: &mut Vec<Region>| {
         if let Some(r) = run.take() {
-            if r.accesses >= 2 {
+            if r.accesses >= 2 && r.writes >= 1 {
                 regions.push(r);
             }
         }
@@ -577,14 +667,22 @@ fn aggregate_func(func: &mut CompiledFunc) -> (usize, usize) {
             | Insn::PutField { barrier, base: Some(b), .. }
                 if barrier.is_barriered() =>
             {
+                let write = usize::from(matches!(insn, Insn::PutField { .. }));
                 match &mut run {
                     Some(r) if r.slot == *b => {
                         r.last = i;
                         r.accesses += 1;
+                        r.writes += write;
                     }
                     _ => {
                         close(&mut run, &mut regions);
-                        run = Some(Region { first: i, last: i, slot: *b, accesses: 1 });
+                        run = Some(Region {
+                            first: i,
+                            last: i,
+                            slot: *b,
+                            accesses: 1,
+                            writes: write,
+                        });
                     }
                 }
             }

@@ -1087,7 +1087,7 @@ mod tests {
             &mut cp,
             PassOptions { immutable: false, escape: false, aggregate: true },
         );
-        assert_eq!(report.regions, 2, "only main's two print statements fuse");
+        assert_eq!(report.regions, 0, "main's print runs are read-only and stay unfused");
         let work = cp.func("work").unwrap();
         assert!(
             !work.code.iter().any(|i| matches!(i, Insn::AggBegin { .. })),
@@ -1096,6 +1096,134 @@ mod tests {
         let vm = BytecodeVm::new(cp, BcVmConfig::default());
         let r = vm.run().unwrap();
         assert_eq!(r.output, vec![1, 2]);
+    }
+
+    #[test]
+    fn read_only_runs_stay_unfused() {
+        let fields: Vec<String> = (0..13).map(|i| format!("f{i}: int")).collect();
+        let sum13: Vec<String> = (0..13).map(|i| format!("a.f{i}")).collect();
+        let src = format!(
+            "class A {{ {} }}\n\
+             fn two(a: ref A) -> int {{ return a.f0 + a.f1; }}\n\
+             fn thirteen(a: ref A) -> int {{ return {}; }}\n\
+             fn mixed(a: ref A) {{ a.f0 = a.f1 + 5; }}\n\
+             fn main() {{ let a: ref A = new A; mixed(a); print two(a); print thirteen(a); }}",
+            fields.join(", "),
+            sum13.join(" + "),
+        );
+        let c = checked(&src);
+        let table = BarrierTable::strong(&c.program);
+        let mut cp = compile(&c, &table);
+        let report = optimize(
+            &mut cp,
+            PassOptions { immutable: false, escape: false, aggregate: true },
+        );
+        assert_eq!(report.regions, 1, "only the read+write run in mixed() fuses");
+        assert_eq!(report.aggregated_sites, 2);
+        for f in ["two", "thirteen"] {
+            let code = &cp.func(f).unwrap().code;
+            assert!(!code.iter().any(|i| matches!(i, Insn::AggBegin { .. })), "{f}");
+        }
+        let vm = BytecodeVm::new(cp, BcVmConfig::default());
+        let r = vm.run().unwrap();
+        assert_eq!(r.output, vec![5, 5]);
+        assert_eq!(r.stats.read_barriers, 2 + 13, "read-only runs keep per-access read barriers");
+        assert_eq!(r.stats.write_barriers, 1, "one acquisition for the mixed() region");
+        let b = vm.barrier_stats();
+        assert_eq!((b.regions, b.aggregated, b.executed), (1, 2, 15));
+    }
+
+    #[test]
+    fn pre_publication_accesses_are_elided() {
+        // new_order's shape: the store before the publishing transaction is
+        // elided; the accesses inside and after it are not. `h.count = 0`
+        // precedes the static store that publishes `h`.
+        let src = "class Order { total: int, lines: int, next: ref Order }\n\
+                   class History { last: ref Order, count: int }\n\
+                   static hist: ref History;\n\
+                   fn new_order(seed: int) -> int {\n\
+                     let o: ref Order = new Order;\n\
+                     o.total = seed;\n\
+                     let total: int = 0;\n\
+                     atomic {\n\
+                       o.lines = 3;\n\
+                       o.total = o.total + total;\n\
+                       o.next = hist.last;\n\
+                       hist.last = o;\n\
+                       hist.count = hist.count + 1;\n\
+                     }\n\
+                     let receipt: int = hist.count + o.lines;\n\
+                     o.total = o.total + receipt % 2;\n\
+                     return total;\n\
+                   }\n\
+                   fn main() {\n\
+                     let h: ref History = new History;\n\
+                     h.count = 0;\n\
+                     hist = h;\n\
+                     print new_order(5);\n\
+                     print hist.last.total;\n\
+                   }";
+        let c = checked(src);
+        let table = BarrierTable::strong(&c.program);
+        let mut cp = compile(&c, &table);
+        let report = optimize(&mut cp, PassOptions::elim_only());
+        assert_eq!(report.escape_elided, 2, "o.total = seed and h.count = 0");
+        let vm = BytecodeVm::new(cp, BcVmConfig::default());
+        let r = vm.run().unwrap();
+        let ri = crate::interp::run_source(
+            src,
+            VmConfig { table: BarrierTable::strong(&c.program), ..VmConfig::default() },
+        )
+        .unwrap();
+        assert_eq!(r.output, ri.output);
+        assert_eq!(r.output, vec![0, 5]);
+        assert_eq!(vm.barrier_stats().elided, 2);
+
+        // Each stop condition ends the prefix: the `x.f = 1` after it keeps
+        // its barrier, and so does any access to `x` in the stop itself.
+        let stops = [
+            "let v: int = noop();",
+            "let u: thread = spawn noop();",
+            "let v: int = join t;",
+            "let p: ref C = x;",
+            "y.r = x;",
+            "g = x;",
+            "print 0;",
+            "if (1 == 1) { x.f = 2; }",
+            "while (0 == 1) { x.f = 2; }",
+            "atomic { x.f = 2; }",
+            "lock (y) { x.f = 2; }",
+            "x = y;",
+        ];
+        let program = |body: &str| {
+            format!(
+                "class C {{ f: int, r: ref C }}\n\
+                 static g: ref C;\n\
+                 fn noop() -> int {{ return 0; }}\n\
+                 fn main() {{\n\
+                   let y: ref C = new C;\n\
+                   g = y;\n\
+                   let t: thread = spawn noop();\n\
+                   {body}\n\
+                 }}"
+            )
+        };
+        let mut cases: Vec<String> = stops
+            .iter()
+            .map(|stop| program(&format!("let x: ref C = new C;\n{stop}\nx.f = 1;\ng = x;")))
+            .collect();
+        // The loop body runs after the first iteration's publication.
+        cases.push(program(
+            "let i: int = 0;\n\
+             let x: ref C = new C;\n\
+             while (i < 2) { x.f = i; g = x; i = i + 1; }",
+        ));
+        for src in &cases {
+            let c = checked(src);
+            let mut cp = compile(&c, &BarrierTable::strong(&c.program));
+            let report = optimize(&mut cp, PassOptions::elim_only());
+            assert_eq!(report.escape_elided, 0, "{src}");
+        }
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! VM produce identical printed output, identical `main` return values,
 //! and an identical committed heap (compared structurally via
 //! [`tmir::vm::heap_dump`]) — under both the weak and the strong barrier
-//! table. We also check the optimization contract: the VM with all
-//! bytecode passes enabled never *executes* more barriers than the
-//! unoptimized VM on the same program.
+//! table, with dynamic escape analysis off and on. The generated `o` is
+//! re-allocated and published through a static at random points, so the
+//! pre-publication elision starts and stops mid-program. We also check the
+//! optimization contract: the VM with all bytecode passes enabled never
+//! *executes* more barriers than the unoptimized VM on the same program.
 
 use proptest::prelude::*;
+use stm_core::config::StmConfig;
 use tmir::interp::{Vm, VmConfig};
 use tmir::parse::parse;
 use tmir::sites::BarrierTable;
@@ -35,6 +38,10 @@ enum Op {
     Call(usize, usize),
     /// `while (iN < K) { o.fD = o.fD + 1; iN = iN + 1; }`
     Loop(usize, i64),
+    /// `shared = o;` — publishes the current `o`.
+    Publish,
+    /// `o = new O;` — starts a fresh, unpublished `o`.
+    Fresh,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -47,6 +54,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..3, 1i64..50).prop_map(|(d, k)| Op::Atomic(d, k)),
         (0usize..3, 0usize..3).prop_map(|(d, s)| Op::Call(d, s)),
         (0usize..3, 1i64..6).prop_map(|(d, k)| Op::Loop(d, k)),
+        Just(Op::Publish),
+        Just(Op::Fresh),
     ]
 }
 
@@ -69,11 +78,14 @@ fn render(ops: &[Op]) -> String {
                 "let i{n}: int = 0;\n\
                  while (i{n} < {k}) {{ o.f{d} = o.f{d} + 1; i{n} = i{n} + 1; }}\n"
             )),
+            Op::Publish => body.push_str("shared = o;\n"),
+            Op::Fresh => body.push_str("o = new O;\n"),
         }
     }
     format!(
         "class O {{ f0: int, f1: int, f2: int }}\n\
          static counter: int;\n\
+         static shared: ref O;\n\
          fn bump(x: int) -> int {{ return x + 7; }}\n\
          fn main() {{\n\
            let o: ref O = new O;\n\
@@ -87,9 +99,14 @@ fn render(ops: &[Op]) -> String {
     )
 }
 
+/// The heap configuration with dynamic escape analysis off or on.
+fn stm(dea: bool) -> StmConfig {
+    StmConfig { dea, ..StmConfig::default() }
+}
+
 /// Runs `checked` on the interpreter and returns (output, ret, heap dump).
-fn run_interp(checked: &Checked, table: BarrierTable) -> (Vec<i64>, u64, Vec<i64>) {
-    let vm = Vm::new(checked.clone(), VmConfig { table, ..Default::default() });
+fn run_interp(checked: &Checked, table: BarrierTable, dea: bool) -> (Vec<i64>, u64, Vec<i64>) {
+    let vm = Vm::new(checked.clone(), VmConfig { stm: stm(dea), table, ..Default::default() });
     let res = vm.run().expect("interpreter runs");
     let dump = heap_dump(vm.heap(), vm.statics());
     (res.output, res.ret, dump)
@@ -101,12 +118,13 @@ fn run_vm(
     checked: &Checked,
     table: &BarrierTable,
     passes: Option<PassOptions>,
+    dea: bool,
 ) -> (Vec<i64>, u64, Vec<i64>, u64) {
     let mut cp = compile(checked, table);
     if let Some(opts) = passes {
         tmir::bytecode::optimize(&mut cp, opts);
     }
-    let vm = BytecodeVm::new(cp, BcVmConfig::default());
+    let vm = BytecodeVm::new(cp, BcVmConfig { stm: stm(dea), ..BcVmConfig::default() });
     let res = vm.run().expect("bytecode VM runs");
     let dump = heap_dump(vm.heap(), vm.statics());
     let executed = vm.barrier_stats().executed;
@@ -117,35 +135,36 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Interpreter and bytecode VM agree on output, return value, and the
-    /// final committed heap, under both weak and strong barrier tables;
-    /// the optimized VM never executes more barriers than the unoptimized
-    /// VM.
+    /// final committed heap, under both weak and strong barrier tables and
+    /// with DEA off and on; the optimized VM never executes more barriers
+    /// than the unoptimized VM.
     #[test]
     fn vm_matches_interpreter(ops in prop::collection::vec(op_strategy(), 1..20)) {
         let src = render(&ops);
         let checked = check(parse(&src).unwrap()).expect("typechecks");
 
-        for strong in [false, true] {
+        for (strong, dea) in [(false, false), (true, false), (false, true), (true, true)] {
             let table = if strong {
                 BarrierTable::strong(&checked.program)
             } else {
                 BarrierTable::weak()
             };
-            let (i_out, i_ret, i_dump) = run_interp(&checked, table.clone());
-            let (v_out, v_ret, v_dump, v_exec) = run_vm(&checked, &table, None);
-            prop_assert_eq!(&i_out, &v_out, "output diverged (strong={})", strong);
-            prop_assert_eq!(i_ret, v_ret, "return value diverged (strong={})", strong);
-            prop_assert_eq!(&i_dump, &v_dump, "heap diverged (strong={})", strong);
+            let ctx = format!("strong={strong}, dea={dea}");
+            let (i_out, i_ret, i_dump) = run_interp(&checked, table.clone(), dea);
+            let (v_out, v_ret, v_dump, v_exec) = run_vm(&checked, &table, None, dea);
+            prop_assert_eq!(&i_out, &v_out, "output diverged ({})", ctx);
+            prop_assert_eq!(i_ret, v_ret, "return value diverged ({})", ctx);
+            prop_assert_eq!(&i_dump, &v_dump, "heap diverged ({})", ctx);
 
             let (o_out, o_ret, o_dump, o_exec) =
-                run_vm(&checked, &table, Some(PassOptions::all()));
-            prop_assert_eq!(&i_out, &o_out, "optimized output diverged (strong={})", strong);
-            prop_assert_eq!(i_ret, o_ret, "optimized ret diverged (strong={})", strong);
-            prop_assert_eq!(&i_dump, &o_dump, "optimized heap diverged (strong={})", strong);
+                run_vm(&checked, &table, Some(PassOptions::all()), dea);
+            prop_assert_eq!(&i_out, &o_out, "optimized output diverged ({})", ctx);
+            prop_assert_eq!(i_ret, o_ret, "optimized ret diverged ({})", ctx);
+            prop_assert_eq!(&i_dump, &o_dump, "optimized heap diverged ({})", ctx);
             prop_assert!(
                 o_exec <= v_exec,
-                "passes increased executed barriers: {} > {} (strong={})",
-                o_exec, v_exec, strong
+                "passes increased executed barriers: {} > {} ({})",
+                o_exec, v_exec, ctx
             );
         }
     }
@@ -171,9 +190,56 @@ fn vm_matches_interpreter_threaded() {
         }";
     let checked = check(parse(src).unwrap()).unwrap();
     let table = BarrierTable::strong(&checked.program);
-    let (i_out, i_ret, _) = run_interp(&checked, table.clone());
-    let (v_out, v_ret, _, _) = run_vm(&checked, &table, Some(PassOptions::all()));
+    let (i_out, i_ret, _) = run_interp(&checked, table.clone(), false);
+    let (v_out, v_ret, _, _) = run_vm(&checked, &table, Some(PassOptions::all()), false);
     assert_eq!(i_out, v_out);
     assert_eq!(i_ret, v_ret);
     assert_eq!(v_out, vec![400, 400]);
+}
+
+/// One thread allocates an object, initializes it with pre-publication
+/// (elided) stores and publishes it through a transactional static store;
+/// another waits for it in a transaction and reads it. The consumer must
+/// see the initialized fields, and VM+passes must agree with the
+/// interpreter, with DEA off and on.
+#[test]
+fn pre_publication_stores_are_visible_after_publication() {
+    let src = "class Box { v: int, w: int }
+        static slot: ref Box;
+        fn producer(k: int) -> int {
+            let b: ref Box = new Box;
+            b.v = k;
+            b.w = b.v * 2;
+            atomic { slot = b; }
+            return 0;
+        }
+        fn consumer() -> int {
+            let s: int = 0;
+            atomic {
+                if (slot == null) { retry; }
+                s = slot.v + slot.w;
+            }
+            return s;
+        }
+        fn main() {
+            let c: thread = spawn consumer();
+            let p: thread = spawn producer(21);
+            let a: int = join p;
+            let b: int = join c;
+            print a + b;
+            print slot.v;
+        }";
+    let checked = check(parse(src).unwrap()).unwrap();
+    let table = BarrierTable::strong(&checked.program);
+    let mut cp = compile(&checked, &table);
+    let report = tmir::bytecode::optimize(&mut cp, PassOptions::all());
+    assert_eq!(report.escape_elided, 3, "b.v store, b.v load and b.w store");
+    for dea in [false, true] {
+        let (i_out, i_ret, i_dump) = run_interp(&checked, table.clone(), dea);
+        let (v_out, v_ret, v_dump, _) = run_vm(&checked, &table, Some(PassOptions::all()), dea);
+        assert_eq!(i_out, vec![63, 21], "dea={dea}");
+        assert_eq!(i_out, v_out, "dea={dea}");
+        assert_eq!(i_ret, v_ret, "dea={dea}");
+        assert_eq!(i_dump, v_dump, "dea={dea}");
+    }
 }
